@@ -7,7 +7,8 @@ Serves the bench ConvNet (GTSRB geometry) through three regimes and writes
   :class:`ServingEngine`, closed-loop clients;
 * ``fleet`` — ``FLEET_REPLICAS`` replicas behind the router, same schedule,
   same closed-loop concurrency: shared-memory weights mean the replicas
-  cost one copy of the arrays, and process replicas sidestep the GIL;
+  cost one copy of the arrays, process replicas sidestep the GIL, and each
+  router chunk runs as one replica forward (one batching layer);
 * ``overload`` — an under-provisioned, deliberately slowed fleet driven
   far past capacity: admission control must shed the excess *immediately*
   (429-path) while every accepted request still completes.
@@ -101,9 +102,8 @@ def _bench_fleet(inputs: np.ndarray) -> dict:
         replicas=FLEET_REPLICAS,
         backend="auto",
         max_queue=8192,
-        chunk=16,
         replica_cap=64,
-        batch=BatchSettings(max_batch_size=32, max_latency_ms=2.0, workers=1),
+        batch=BatchSettings(max_batch_size=16),  # the router chunk = replica batch
     )
     with ServingFleet(_registry(), settings) as fleet:
         fleet.predict(KEY, inputs[:16])  # warm-up (all replicas reachable)
@@ -127,9 +127,8 @@ def _bench_overload(inputs: np.ndarray) -> dict:
         replicas=1,
         backend="thread",
         max_queue=16,
-        chunk=4,
         replica_cap=8,
-        batch=BatchSettings(max_batch_size=4, max_latency_ms=1.0, workers=1),
+        batch=BatchSettings(max_batch_size=4),
     )
     with ServingFleet(_registry(), settings) as fleet:
         fleet.predict(KEY, inputs[0])  # warm-up

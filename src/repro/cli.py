@@ -75,7 +75,7 @@ from .experiments.hardware_study import (
 )
 from .experiments.config import ExperimentConfig, resolve_scale
 from .faults import FaultType
-from .mitigation import technique_names
+from .mitigation import technique_names, validate_techniques
 from .nn.allreduce import set_ddp
 from .nn.functional import KERNEL_MODES, set_kernel_mode
 from .nn.serialization import StateFileError
@@ -340,15 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8777)
     serve.add_argument(
         "--max-batch-size", type=int, default=8,
-        help="largest micro-batch one dispatch coalesces (default 8)",
+        help="largest micro-batch one dispatch coalesces; with --replicas >= 2 "
+        "also the fleet's per-dispatch batch, one replica forward (default 8)",
     )
     serve.add_argument(
         "--max-latency-ms", type=float, default=2.0,
-        help="longest a request waits for its batch to fill (default 2.0)",
+        help="longest a request waits for its batch to fill; single engine "
+        "(--replicas 1) only (default 2.0)",
     )
     serve.add_argument(
         "--serve-workers", type=int, default=2,
-        help="inference worker threads (default 2)",
+        help="inference worker threads; single engine (--replicas 1) only "
+        "(default 2)",
     )
     serve.add_argument(
         "--trace", default=None,
@@ -517,6 +520,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> int:
     """The fault-tolerant ``study`` subcommand (checkpoint/resume/retries)."""
+    if args.techniques:
+        try:
+            validate_techniques(args.techniques)
+        except KeyError as exc:
+            logger.error("error: %s", exc.args[0])
+            return 2
     if args.kernels is not None:
         set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)

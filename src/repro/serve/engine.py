@@ -54,9 +54,8 @@ class EngineClosedError(RuntimeError):
 
     Raised by :meth:`ServingEngine.submit` (and :meth:`ServingEngine.start`)
     after :meth:`ServingEngine.close`, and set on any future that was still
-    pending at close time.  A distinct type matters to the fleet layer
-    (:mod:`repro.serve.fleet`): a replica seeing this knows its engine died
-    and re-routes the request instead of failing the caller.
+    pending at close time, so a caller can tell a closed engine from a
+    failed inference.
     """
 
 
@@ -64,11 +63,11 @@ class EngineClosedError(RuntimeError):
 class BatchSettings:
     """Micro-batching knobs.
 
-    ``max_batch_size`` caps how many queued samples one dispatch coalesces;
-    ``max_latency_ms`` bounds how long the oldest queued request may wait for
-    the batch to fill; ``workers`` is the number of inference threads (each
-    thread has its own kernel workspace arena, so workers never contend on
-    scratch buffers).
+    ``max_batch_size`` caps how many queued samples one dispatch coalesces
+    (in a fleet, one router chunk); ``max_latency_ms`` bounds how long the
+    oldest queued request may wait for the batch to fill; ``workers`` is the
+    number of inference threads (each thread has its own kernel workspace
+    arena, so workers never contend on scratch buffers).
     """
 
     max_batch_size: int = 8

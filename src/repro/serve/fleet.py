@@ -9,14 +9,16 @@ into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
   uses), and every replica's module attaches *read-only views* into that
   block.  N replicas of a 10M-parameter model cost one copy of the arrays,
   whether the replicas are threads in this process or forked children.
-- **Replicas are disposable.**  Each replica runs its own micro-batching
-  :class:`~repro.serve.engine.ServingEngine` — in-process
-  (:class:`ThreadReplica`) or in a forked child that re-attaches the shared
-  block by name (:class:`ProcessReplica`).  A health monitor evicts a
-  replica whose process died, whose engine closed, or whose oldest
-  dispatched request overran ``replica_deadline_s``, requeues everything it
-  held (the router guarantees exactly-once answers), and respawns a fresh
-  replica into the same slot at a bumped generation.
+- **One batching layer.**  The router's chunk is the replica's batch: a
+  replica — a worker thread in-process (:class:`ThreadReplica`) or a forked
+  child that re-attaches the shared block by name (:class:`ProcessReplica`)
+  — runs one ``predict_logits`` over each chunk it receives, with no second
+  queue and no wait for a batch to fill.
+- **Replicas are disposable.**  A health monitor evicts a replica whose
+  process or worker died, or whose oldest dispatched request overran
+  ``replica_deadline_s``, requeues everything it held (the router
+  guarantees exactly-once answers), and respawns a fresh replica into the
+  same slot at a bumped generation.
 - **Responses are bitwise-stable.**  Replicas share the same weight bytes
   and inference runs under row-stable kernels, so a sample's logits are
   identical no matter which replica, batch, or respawn served it — the
@@ -25,7 +27,7 @@ into ``N`` replicas behind a :class:`~repro.serve.router.Router`:
 
 Chaos hooks (``kill_replica``, ``slow_replica``) exist for the test and CI
 harnesses: killing is indistinguishable from a real crash (SIGKILL for
-process replicas, abrupt engine close for thread replicas), and a slowed
+process replicas, an abandoned worker for thread replicas), and a slowed
 replica overruns its deadline and gets evicted like a genuinely wedged one.
 """
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
+import queue
 import signal
 import threading
 import time
@@ -49,7 +52,7 @@ from ..telemetry import (
     get_metrics,
     latency_summary_ms,
 )
-from .engine import BatchSettings, EngineClosedError, ServingEngine
+from .engine import BatchSettings
 from .registry import ModelKey, ModelRegistry, ServableModel
 from .router import Chunk, ReplicaGone, Router, ShedError
 
@@ -174,23 +177,50 @@ class SharedWeights:
         self._shm = None
 
 
-def _attached_clone(servable: ServableModel, weights: SharedWeights) -> "tuple":
-    """A structural copy of ``servable``'s module wired to the shared block."""
-    module = copy.deepcopy(servable.module)
-    views = weights.attach(module)
-    clone = ServableModel(
-        servable.key, module, source=f"fleet:{servable.source}",
-        metadata=dict(servable.metadata),
-    )
-    return clone, views
-
-
 # ----------------------------------------------------------------------
 # Replica backends
 # ----------------------------------------------------------------------
 
+def _attached_clone(servable: ServableModel, weights: SharedWeights) -> ServableModel:
+    """A structural copy of ``servable``'s module wired to the shared block."""
+    module = copy.deepcopy(servable.module)
+    weights.attach(module)
+    return ServableModel(
+        servable.key, module, source=f"fleet:{servable.source}",
+        metadata=dict(servable.metadata),
+    )
+
+
+def _run_chunk(registry: ModelRegistry, key, samples: list,
+               delay_s: float) -> tuple:
+    """The forward both replica backends share: one chunk, one batch.
+
+    ``delay_s`` is the ``slow_replica`` stall.  Returns ``("ok", logits)``,
+    or ``("err", message)`` for every request of the chunk — also when the
+    samples cannot be stacked (clients sent different shapes), so a bad
+    chunk never takes its replica down.
+    """
+    try:
+        if delay_s:
+            time.sleep(delay_s)
+        return "ok", registry.get(key).predict_logits(np.stack(samples))
+    except Exception as exc:  # noqa: BLE001 - answered to the chunk's callers
+        return "err", f"{type(exc).__name__}: {exc}"
+
+
+def _deliver(router: Router, slot: int, generation: int, seqs, outcome) -> None:
+    """Hand a :func:`_run_chunk` outcome back to the router, row by row."""
+    status, value = outcome
+    if status == "ok":
+        for seq, row in zip(seqs, value):
+            router.on_result(slot, generation, seq, row)
+    else:
+        for seq in seqs:
+            router.on_error(slot, generation, seq, RuntimeError(value))
+
+
 class ThreadReplica:
-    """An in-process replica: its own engine + registry over shared views."""
+    """An in-process replica: one worker thread draining a chunk queue."""
 
     backend = "thread"
 
@@ -200,168 +230,98 @@ class ThreadReplica:
         generation: int,
         template: ModelRegistry,
         blocks: "dict[ModelKey, SharedWeights]",
-        settings: BatchSettings,
         router: Router,
     ) -> None:
         self.slot = slot
         self.generation = generation
         self.router = router
         self.pid = os.getpid()
-        self._views = []
         self.registry = ModelRegistry()
-        self._servables: "dict[ModelKey, ServableModel]" = {}
         for key in template.keys():
-            clone, views = _attached_clone(template.get(key), blocks[key])
-            self.registry.register(clone)
-            self._servables[key] = clone
-            self._views.extend(views)
-        self.engine = ServingEngine(self.registry, settings).start()
-        self._failed = False
+            self.registry.register(_attached_clone(template.get(key), blocks[key]))
+        self._chunks: "queue.SimpleQueue[Chunk | None]" = queue.SimpleQueue()
+        self._delay_s = 0.0
+        self._alive = True
+        self._worker = threading.Thread(
+            target=self._work, name=f"fleet-replica-{slot}", daemon=True
+        )
+        self._worker.start()
+
+    def _work(self) -> None:
+        while True:
+            chunk = self._chunks.get()
+            if not self._alive:
+                return  # killed or closed: strand the rest like a crash
+            outcome = _run_chunk(self.registry, chunk.key, chunk.samples, self._delay_s)
+            if self._alive:
+                _deliver(self.router, self.slot, self.generation, chunk.seqs, outcome)
 
     def send(self, chunk: Chunk) -> None:
-        for seq, sample in zip(chunk.seqs, chunk.samples):
-            try:
-                future = self.engine.submit(chunk.key, sample)
-            except EngineClosedError:
-                raise ReplicaGone(f"thread replica {self.slot} engine closed")
-            future.add_done_callback(self._completion(seq))
-
-    def _completion(self, seq: int):
-        def _done(future) -> None:
-            exc = future.exception()
-            if exc is None:
-                self.router.on_result(self.slot, self.generation, seq, future.result())
-            elif isinstance(exc, EngineClosedError):
-                # The whole replica died; the router requeues everything it
-                # held, so per-request errors would only race the failover.
-                self.router.replica_failed(self.slot, self.generation)
-            else:
-                self.router.on_error(self.slot, self.generation, seq, exc)
-        return _done
+        if not self._alive:
+            raise ReplicaGone(f"thread replica {self.slot} is dead")
+        self._chunks.put(chunk)
 
     def alive(self) -> bool:
-        return self.engine._running and not self._failed
+        return self._alive and self._worker.is_alive()
 
     def kill(self) -> None:
         """Chaos hook: die abruptly, stranding whatever was in flight."""
-        self._failed = True
-        self.engine.close()
+        self._alive = False
+        self._chunks.put(None)
 
     def set_slow(self, delay_s: float) -> None:
         """Chaos hook: every inference on this replica stalls ``delay_s``."""
-        for servable in self._servables.values():
-            inner = type(servable).predict_logits.__get__(servable)
-
-            def slowed(batch, _inner=inner):
-                time.sleep(delay_s)
-                return _inner(batch)
-
-            servable.predict_logits = slowed
+        self._delay_s = float(delay_s)
 
     def close(self) -> None:
-        self.engine.close()
-        self._views = []
+        self.kill()
+        self._worker.join(timeout=5)
 
     def describe(self) -> dict:
         return {"backend": self.backend, "pid": self.pid}
 
 
 def _replica_main(child_conn, template: ModelRegistry,
-                  blocks: "dict[ModelKey, SharedWeights]",
-                  settings: BatchSettings) -> None:
+                  blocks: "dict[ModelKey, SharedWeights]") -> None:
     """Forked replica body: attach the shared blocks, serve predict frames.
 
     The child inherited the template modules via fork (copy-on-write pages)
-    and immediately re-points their arrays at a freshly opened handle on
-    each shared block — so its weights are the same bytes every other
-    replica reads, not a copy.  Frames::
+    and re-points their arrays at a freshly opened handle on each shared
+    block, so its weights are the same bytes every other replica reads.
+    Each chunk's forward runs in the receive loop; the reply goes back on
+    the same pipe.  Frames::
 
-        ("predict", model_id, [seq...], stacked_samples) -> ("ok", seqs, logits)
-                                                          | ("err", seqs, message)
+        ("predict", model_id, [seq...], [sample...])
+            -> ([seq...], ("ok", logits) | ("err", message))
         ("slow", delay_s)   chaos hook: stall every subsequent inference
         ("stop",)           graceful shutdown
     """
-    handles = []
+    handles = []  # mapped until process exit, which reclaims them
     registry = ModelRegistry()
-    servables: "dict[str, ServableModel]" = {}
-    views = []
     for key in template.keys():
-        shm = blocks[key].open()
-        handles.append(shm)
         module = template.get(key).module  # inherited; ours to mutate now
-        views.extend(blocks[key].attach(module, shm=shm))
-        servable = ServableModel(key, module, source="fleet-fork")
-        registry.register(servable)
-        servables[key.id] = servable
-    engine = ServingEngine(registry, settings).start()
-    replies = []  # (seqs, futures) awaiting completion, in dispatch order
-    reply_ready = threading.Condition()
-    stopping = False
-
-    def replier() -> None:
-        while True:
-            with reply_ready:
-                while not replies:
-                    if stopping:
-                        return
-                    reply_ready.wait()
-                seqs, futures = replies.pop(0)
-            rows, error = [], None
-            for future in futures:
-                try:
-                    rows.append(future.result())
-                except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                    error = f"{type(exc).__name__}: {exc}"
-                    break
-            try:
-                if error is None:
-                    child_conn.send(("ok", seqs, np.stack(rows)))
-                else:
-                    child_conn.send(("err", seqs, error))
-            except (BrokenPipeError, OSError):  # parent went away
-                return
-
-    reply_thread = threading.Thread(target=replier, daemon=True)
-    reply_thread.start()
+        handles.append(blocks[key].open())
+        blocks[key].attach(module, shm=handles[-1])
+        registry.register(ServableModel(key, module, source="fleet-fork"))
     delay_s = 0.0
     try:
         while True:
-            try:
-                frame = child_conn.recv()
-            except (EOFError, OSError):
-                break
+            frame = child_conn.recv()
             if frame[0] == "stop":
                 break
             if frame[0] == "slow":
                 delay_s = float(frame[1])
-                for servable in servables.values():
-                    inner = type(servable).predict_logits.__get__(servable)
-
-                    def slowed(batch, _inner=inner):
-                        time.sleep(delay_s)
-                        return _inner(batch)
-
-                    servable.predict_logits = slowed
                 continue
             _, model_id, seqs, samples = frame
-            futures = [engine.submit(model_id, sample) for sample in samples]
-            with reply_ready:
-                replies.append((seqs, futures))
-                reply_ready.notify()
+            child_conn.send((seqs, _run_chunk(registry, model_id, samples, delay_s)))
+    except (EOFError, OSError):  # parent went away
+        pass
     finally:
-        with reply_ready:
-            stopping = True
-            reply_ready.notify_all()
-        engine.close()
-        reply_thread.join(timeout=5)
-        # Deliberately leave the shm handles mapped: a wedged worker that
-        # survived the join timeout may still be mid-inference, and process
-        # exit reclaims the mappings anyway.
         child_conn.close()
 
 
 class ProcessReplica:
-    """A forked replica: engine + shared-block views in a child process."""
+    """A forked replica: shared-block views and the forward in a child."""
 
     backend = "process"
 
@@ -371,7 +331,6 @@ class ProcessReplica:
         generation: int,
         template: ModelRegistry,
         blocks: "dict[ModelKey, SharedWeights]",
-        settings: BatchSettings,
         router: Router,
     ) -> None:
         self.slot = slot
@@ -381,7 +340,7 @@ class ProcessReplica:
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_replica_main,
-            args=(child_conn, template, blocks, settings),
+            args=(child_conn, template, blocks),
             daemon=True,
             name=f"fleet-replica-{slot}",
         )
@@ -398,26 +357,17 @@ class ProcessReplica:
     def _read_loop(self) -> None:
         while True:
             try:
-                frame = self._conn.recv()
+                seqs, outcome = self._conn.recv()
             except (EOFError, OSError):
                 break
-            if frame[0] == "ok":
-                _, seqs, rows = frame
-                for seq, row in zip(seqs, rows):
-                    self.router.on_result(self.slot, self.generation, seq, row)
-            elif frame[0] == "err":
-                _, seqs, message = frame
-                for seq in seqs:
-                    self.router.on_error(
-                        self.slot, self.generation, seq, RuntimeError(message)
-                    )
+            _deliver(self.router, self.slot, self.generation, seqs, outcome)
         if not self._closing:
             self.router.replica_failed(self.slot, self.generation)
 
     def send(self, chunk: Chunk) -> None:
         try:
             with self._send_lock:
-                self._conn.send(("predict", chunk.key.id, chunk.seqs, chunk.stacked()))
+                self._conn.send(("predict", chunk.key.id, chunk.seqs, chunk.samples))
         except (BrokenPipeError, OSError):
             raise ReplicaGone(f"process replica {self.slot} pipe broken")
 
@@ -425,26 +375,26 @@ class ProcessReplica:
         return self._proc.is_alive()
 
     def kill(self) -> None:
-        """Chaos hook: SIGKILL — indistinguishable from a real crash."""
+        """Chaos hook: SIGKILL, like a real crash; returns once reaped."""
         try:
             os.kill(self._proc.pid, signal.SIGKILL)
         except (ProcessLookupError, OSError):  # pragma: no cover - already gone
             pass
+        self._proc.join(timeout=5)
 
-    def set_slow(self, delay_s: float) -> None:
+    def _post(self, frame: tuple) -> None:
         try:
             with self._send_lock:
-                self._conn.send(("slow", float(delay_s)))
+                self._conn.send(frame)
         except (BrokenPipeError, OSError):  # pragma: no cover - dying replica
             pass
 
+    def set_slow(self, delay_s: float) -> None:
+        self._post(("slow", float(delay_s)))
+
     def close(self) -> None:
         self._closing = True
-        try:
-            with self._send_lock:
-                self._conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
+        self._post(("stop",))
         self._proc.join(timeout=10)
         if self._proc.is_alive():  # pragma: no cover - stuck child safety net
             self._proc.terminate()
@@ -465,7 +415,12 @@ class ProcessReplica:
 
 @dataclass(frozen=True)
 class FleetSettings:
-    """Fleet-level knobs (replica count, admission, health policy)."""
+    """Fleet-level knobs (replica count, admission, health policy).
+
+    ``batch.max_batch_size`` is the router's chunk, the largest batch one
+    replica forward runs; the other ``batch`` fields configure a single
+    engine only.
+    """
 
     replicas: int = 2
     backend: str = "auto"
@@ -473,7 +428,6 @@ class FleetSettings:
     shed_policy: str = "reject"
     client_rate: "float | None" = None
     client_burst: "float | None" = None
-    chunk: int = 8
     replica_cap: int = 32
     replica_deadline_s: float = 30.0
     health_interval_s: float = 0.25
@@ -582,7 +536,7 @@ class ServingFleet:
             shed_policy=self.settings.shed_policy,
             client_rate=self.settings.client_rate,
             client_burst=self.settings.client_burst,
-            chunk=self.settings.chunk,
+            chunk=self.settings.batch.max_batch_size,
             replica_cap=self.settings.replica_cap,
             registry=self.metrics,
         )
@@ -597,10 +551,7 @@ class ServingFleet:
 
     def _spawn(self, position: int, generation: int) -> None:
         cls = ProcessReplica if self._backend == "process" else ThreadReplica
-        handle = cls(
-            position, generation, self.registry, self._blocks,
-            self.settings.batch, self.router,
-        )
+        handle = cls(position, generation, self.registry, self._blocks, self.router)
         with self._lock:
             slot = self._slots.get(position)
             if slot is None:

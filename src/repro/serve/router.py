@@ -11,8 +11,8 @@ threads, or clocks:
   with a ``Retry-After`` estimate) — shed requests never hang.
 - **Dispatch** — accepted requests wait in per-model priority queues
   (higher ``priority`` first, FIFO within a priority) and are handed to the
-  healthy replica with the fewest outstanding requests, in chunks that an
-  IPC-backed replica can ship as one frame.
+  healthy replica with the fewest outstanding requests, in chunks that a
+  replica runs as one batch each; under load, batches grow in the queue.
 - **Failure** — when a replica dies (:meth:`Router.replica_failed`), every
   request it held is requeued at its original position and re-dispatched to
   a surviving replica.  A late result from an evicted replica is dropped
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..telemetry import QUEUE_DEPTH_BUCKETS, MetricsRegistry, get_metrics
+from ..telemetry import BATCH_SIZE_BUCKETS, QUEUE_DEPTH_BUCKETS, MetricsRegistry, get_metrics
 from .registry import ModelKey
 
 __all__ = [
@@ -58,6 +58,11 @@ SHED_POLICIES = ("reject", "evict-lowest")
 
 #: Outstanding-request histogram bound (per replica, observed at dispatch).
 _OUTSTANDING_BUCKETS = QUEUE_DEPTH_BUCKETS
+
+#: Chunks a replica may hold and still be sent a partial one: one running,
+#: one waiting.  Beyond that only full chunks go out (up to ``replica_cap``),
+#: since a partial chunk can still grow in the queue and a full one cannot.
+_PARTIAL_CHUNK_DEPTH = 2
 
 
 class ShedError(RuntimeError):
@@ -120,7 +125,7 @@ class _Request:
 
     __slots__ = (
         "seq", "key", "sample", "client", "priority", "enqueued",
-        "future", "done", "dispatched_at",
+        "future", "done", "dispatched_at", "chunk",
     )
 
     def __init__(self, seq: int, key: ModelKey, sample: np.ndarray,
@@ -134,6 +139,7 @@ class _Request:
         self.future: Future = Future()
         self.done = False  # guarded by the router lock; first completion wins
         self.dispatched_at = 0.0
+        self.chunk = -1  # first seq of the chunk it was dispatched in
 
 
 @dataclass
@@ -155,13 +161,14 @@ class Chunk:
 class _ReplicaLink:
     """Router-side record of one registered replica."""
 
-    __slots__ = ("slot", "generation", "send", "outstanding")
+    __slots__ = ("slot", "generation", "send", "outstanding", "chunks")
 
     def __init__(self, slot: int, generation: int, send) -> None:
         self.slot = slot
         self.generation = generation
         self.send = send
         self.outstanding: "OrderedDict[int, _Request]" = OrderedDict()
+        self.chunks: "dict[int, int]" = {}  # chunk id -> requests unanswered
 
 
 class Router:
@@ -173,7 +180,8 @@ class Router:
     - ``shed_policy`` — see :data:`SHED_POLICIES`.
     - ``client_rate`` / ``client_burst`` — per-client token bucket; ``None``
       rate disables fairness limiting.
-    - ``chunk`` — most requests one dispatch hands a replica (one IPC frame).
+    - ``chunk`` — most requests one dispatch hands a replica: one IPC frame
+      and one replica forward.
     - ``replica_cap`` — most outstanding requests one replica may hold; the
       dispatcher stalls (rather than piling onto a struggling replica) when
       every replica is at its cap, bounding requeue loss on a crash.
@@ -234,6 +242,9 @@ class Router:
         self._queue_depth = registry.histogram(
             "fleet_queue_depth", QUEUE_DEPTH_BUCKETS,
             help="Per-model admission-queue depth observed at submit")
+        self._batch_size = registry.histogram(
+            "fleet_batch_size", BATCH_SIZE_BUCKETS,
+            help="Requests per dispatched chunk (one replica forward)")
         self._cond = threading.Condition()
         self._seq = 0
         self._queues: "dict[ModelKey, list[tuple[int, int]]]" = {}
@@ -306,6 +317,7 @@ class Router:
             self._push_locked(request)
             requeued += 1
         link.outstanding.clear()
+        link.chunks.clear()
         return requeued
 
     def _push_locked(self, request: _Request) -> None:
@@ -412,10 +424,15 @@ class Router:
                 best_key, best_rank = key, queue[0]
         if best_key is None:
             return None
+        depth = len(self._queues[best_key])
         link = None
         for candidate in self._links.values():
-            if len(candidate.outstanding) >= self.replica_cap:
+            room = self.replica_cap - len(candidate.outstanding)
+            if room <= 0:
                 continue
+            if (min(room, depth) < self.chunk
+                    and len(candidate.chunks) >= _PARTIAL_CHUNK_DEPTH):
+                continue  # let the partial chunk grow in the queue
             if link is None or len(candidate.outstanding) < len(link.outstanding):
                 link = candidate
         if link is None:
@@ -442,9 +459,12 @@ class Router:
                 link.outstanding[seq] = request
                 chunk.seqs.append(seq)
                 chunk.samples.append(request.sample)
+                request.chunk = chunk.seqs[0]
             if not chunk:
                 return False
+            link.chunks[chunk.seqs[0]] = len(chunk)
             self._slot_outstanding[link.slot].observe(len(link.outstanding))
+            self._batch_size.observe(len(chunk))
             send, slot, generation = link.send, link.slot, link.generation
         try:
             send(chunk)
@@ -501,6 +521,10 @@ class Router:
             self._late_results_total.inc()
             return None
         request = link.outstanding.pop(seq, None)
+        if request is not None:
+            left = link.chunks.pop(request.chunk) - 1
+            if left:
+                link.chunks[request.chunk] = left
         if request is None or request.done:
             self._late_results_total.inc()
             return None

@@ -63,18 +63,26 @@ class _Handler(BaseHTTPRequestHandler):
         if self.server.verbose:  # pragma: no cover - log formatting
             super().log_message(format, *args)
 
+    def _send(
+        self, status: int, content_type: str, body: bytes,
+        headers: "dict[str, str] | None" = None,
+    ) -> None:
+        """Answer in one socket write: a separate body write would wait in
+        Nagle's algorithm for the client's delayed ACK of the headers."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self._headers_buffer.extend((b"\r\n", body))  # end_headers + body
+        self.flush_headers()
+
     def _send_json(
         self, payload: dict, status: int = 200,
         headers: "dict[str, str] | None" = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "application/json", body, headers)
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
@@ -97,11 +105,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(snapshot)
             return
         body = render_prometheus(snapshot).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, "text/plain; version=0.0.4; charset=utf-8", body)
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:

@@ -1,7 +1,7 @@
 """Fleet tests: shared weights, bitwise equivalence, chaos, and HTTP 429s.
 
-The chaos suite is the PR's test-archetype core: kill a replica mid-traffic
-(thread backend: abrupt engine close; process backend: SIGKILL) and assert
+The chaos suite is the core: kill a replica mid-traffic (thread backend:
+an abandoned worker; process backend: SIGKILL) and assert
 the invariants the router guarantees — **zero lost accepted requests** and
 **bitwise-identical responses** no matter which replica, batch, or respawn
 served a sample.
@@ -9,6 +9,7 @@ served a sample.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 
@@ -19,10 +20,14 @@ from repro.serve import (
     BatchSettings,
     FleetSettings,
     ModelRegistry,
+    ProcessReplica,
+    Router,
+    ServableModel,
     ServingFleet,
     ServingServer,
     SharedWeights,
     ShedError,
+    ThreadReplica,
 )
 
 from .conftest import KEY, NUM_CLASSES
@@ -231,6 +236,126 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
+# Replica inference errors
+# ----------------------------------------------------------------------
+
+#: An input value that trips :func:`tripwire` — a forward that raises.
+POISON = 1e30
+
+
+@pytest.fixture()
+def tripwire(monkeypatch):
+    """Make any forward over a batch holding :data:`POISON` raise.
+
+    Patched on the class before a fleet starts, so thread replicas and
+    forked process replicas (which inherit the class) both see it.
+    """
+    forward = ServableModel.predict_logits
+
+    def tripped(self, inputs):
+        if np.any(inputs == POISON):
+            raise RuntimeError("tripwire")
+        return forward(self, inputs)
+
+    monkeypatch.setattr(ServableModel, "predict_logits", tripped)
+
+
+REPLICA_CLASSES = {"thread": ThreadReplica, "process": ProcessReplica}
+
+
+@contextlib.contextmanager
+def hand_pumped_replica(backend, registry):
+    """One replica behind a hand-pumped router, so chunk composition is exact."""
+    router = Router(chunk=8, auto_dispatch=False)
+    block = SharedWeights(KEY, registry.get(KEY).module)
+    replica = REPLICA_CLASSES[backend](0, 0, registry, {KEY: block}, router)
+    try:
+        router.add_replica(0, replica.send)
+        yield router, replica
+    finally:
+        router.close()
+        replica.close()
+        block.close()
+
+
+def assert_chunk_fails_then_replica_serves_on(router, replica, chunk, match,
+                                              inputs, reference):
+    futures = [router.submit(KEY, sample) for sample in chunk]
+    assert router.pump() == 1
+    for future in futures:
+        with pytest.raises(RuntimeError, match=match):
+            future.result(timeout=30)
+    assert router.snapshot()["errors"] == len(chunk)
+    # The same replica, still registered, answers the next chunk.
+    futures = [router.submit(KEY, sample) for sample in inputs[3:6]]
+    assert router.pump() == 1
+    rows = np.stack([future.result(timeout=30) for future in futures])
+    assert np.array_equal(rows, reference[3:6])
+    assert replica.alive()
+    assert router.replicas() == {0: 0}
+
+
+class TestReplicaErrors:
+    @pytest.mark.parametrize("backend", sorted(REPLICA_CLASSES))
+    def test_error_fails_the_chunk_and_replica_serves_on(
+        self, registry, inputs, reference, tripwire, backend
+    ):
+        # Three requests, one dispatch, one forward that raises.
+        poisoned = inputs[:3].copy()
+        poisoned[1].flat[0] = POISON
+        with hand_pumped_replica(backend, registry) as (router, replica):
+            assert_chunk_fails_then_replica_serves_on(
+                router, replica, list(poisoned), "tripwire", inputs, reference)
+
+    @pytest.mark.parametrize("backend", sorted(REPLICA_CLASSES))
+    def test_mixed_shape_chunk_fails_and_replica_serves_on(
+        self, registry, inputs, reference, backend
+    ):
+        # Clients of one model may send samples of different shapes at the
+        # same time; a chunk that cannot be stacked fails, the replica lives.
+        mixed = [inputs[0], inputs[1][:, :-1, :-1], inputs[2]]
+        with hand_pumped_replica(backend, registry) as (router, replica):
+            assert_chunk_fails_then_replica_serves_on(
+                router, replica, mixed, "same shape", inputs, reference)
+
+    @pytest.mark.parametrize("backend", sorted(REPLICA_CLASSES))
+    def test_error_maps_to_http_500(
+        self, registry, inputs, reference, tripwire, backend
+    ):
+        fleet = make_fleet(registry, replicas=1, backend=backend).start()
+        server = ServingServer(fleet, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            poisoned = inputs[:2].copy()
+            poisoned[0].flat[0] = POISON
+            status, payload = _post_status(
+                f"{server.url}/predict",
+                {"model": KEY.id, "inputs": poisoned.tolist()},
+            )
+            assert status == 500
+            assert "tripwire" in payload["error"]
+            status, payload = _post_status(
+                f"{server.url}/predict",
+                {"model": KEY.id, "inputs": inputs[2:5].tolist()},
+            )
+            assert status == 200
+            assert np.array_equal(
+                np.asarray(payload["logits"], dtype=np.float32), reference[2:5]
+            )
+            described = fleet.describe()
+            assert described["evictions"] == 0
+            assert described["replicas"][0]["generation"] == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            fleet.close()
+
+
+# ----------------------------------------------------------------------
 # Admission behaviour through the fleet
 # ----------------------------------------------------------------------
 
@@ -303,6 +428,17 @@ def _post(url: str, payload: dict):
     )
     with urllib.request.urlopen(request, timeout=30) as resp:
         return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+def _post_status(url: str, payload: dict):
+    """``_post`` that returns error statuses instead of raising them."""
+    import json
+    import urllib.error
+
+    try:
+        return _post(url, payload)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read().decode("utf-8"))
 
 
 class TestFleetHTTP:
@@ -393,3 +529,40 @@ class TestFleetHTTP:
         assert "fleet_requests_total" in text
         assert "fleet_evictions_total" in text
         assert "fleet_replica0_latency_seconds" in text
+
+    def test_metrics_expose_batch_size_histogram(self, registry, inputs):
+        # Every replica batch is one router chunk, so the parent's
+        # histogram sees every forward — process replicas included.
+        import urllib.request
+
+        from repro.telemetry import parse_prometheus_text
+
+        max_batch = 4
+        fleet = make_fleet(
+            registry, replicas=1, backend="process",
+            batch=BatchSettings(max_batch_size=max_batch),
+        ).start()
+        server = ServingServer(fleet, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            for i in range(3):  # one sample each, answered before the next
+                _post(f"{server.url}/predict",
+                      {"model": KEY.id, "inputs": inputs[i].tolist()})
+            _post(f"{server.url}/predict",
+                  {"model": KEY.id, "inputs": inputs[3:9].tolist()})
+            with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as resp:
+                hist = parse_prometheus_text(resp.read().decode())["fleet_batch_size"]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            fleet.close()
+        assert hist["sum"] == 3 + 6  # every served sample, once
+        # Three single-sample chunks, then 6 samples in 2..6 chunks of <= 4.
+        assert 3 + 2 <= hist["count"] <= 3 + 6
+        over = [n for bound, n in zip(hist["buckets"] + [float("inf")], hist["counts"])
+                if bound > max_batch]
+        assert sum(over) == 0

@@ -47,6 +47,12 @@ class FakeReplica:
             raise ReplicaGone(f"fake replica {self.slot} is gone")
         self.chunks.append(chunk)
 
+    def answer_first(self) -> None:
+        """Answer the oldest chunk only."""
+        chunk = self.chunks.pop(0)
+        for seq, sample in zip(chunk.seqs, chunk.samples):
+            self.router.on_result(self.slot, self.generation, seq, sample * 2.0)
+
     def answer_all(self) -> int:
         answered = 0
         while self.chunks:
@@ -233,6 +239,61 @@ class TestDispatch:
         router.pump()
         assert list(replica.chunks[0].seqs) == sorted(replica.chunks[0].seqs)
         replica.answer_all()
+        assert all(f.done() for f in futures)
+
+
+    def test_partial_chunk_waits_while_replica_holds_two(self):
+        router = make_router(chunk=4)
+        replica = FakeReplica(0).register(router)
+        for i in range(2):  # an idle-ish replica gets partial chunks at once
+            router.submit(KEY, sample(i))
+            assert router.pump() == 1
+        router.submit(KEY, sample(2))
+        assert router.pump() == 0  # a third partial chunk is held back
+        assert router.queued() == 1
+        for i in range(3, 6):
+            router.submit(KEY, sample(i))
+        assert router.pump() == 1  # a full chunk still goes out
+        assert [len(c) for c in replica.chunks] == [1, 1, 4]
+        router.submit(KEY, sample(6))
+        assert router.pump() == 0
+        replica.answer_first()
+        assert router.pump() == 0  # still two chunks out
+        replica.answer_first()  # down to one: the held request goes out
+        assert router.pump() == 1
+        assert [len(c) for c in replica.chunks] == [4, 1]
+        replica.answer_all()
+        assert router._links[0].chunks == {}
+
+    def test_chunk_tally_empties_on_every_completion_path(self):
+        router = make_router(chunk=4)
+        replica = FakeReplica(0).register(router)
+        futures = [router.submit(KEY, sample(i)) for i in range(6)]
+        router.pump()
+        first, second = replica.chunks
+        # Partial answers keep a chunk counted until its last row.
+        for seq in first.seqs[:2]:
+            router.on_result(0, 0, seq, sample(0))
+        assert len(router._links[0].chunks) == 2
+        for seq in first.seqs[2:]:
+            router.on_result(0, 0, seq, sample(0))
+        router.on_error(0, 0, second.seqs[0], RuntimeError("boom"))
+        router.on_result(0, 0, second.seqs[1], sample(0))
+        assert router._links[0].chunks == {}
+        # A late duplicate changes nothing.
+        router.on_result(0, 0, second.seqs[1], sample(0))
+        assert router._links[0].chunks == {}
+        assert router.snapshot()["late_results"] == 1
+        assert all(f.done() for f in futures)
+        # A requeue moves the requests, and their chunk, to the survivor.
+        futures = [router.submit(KEY, sample(i)) for i in range(3)]
+        router.pump()
+        survivor = FakeReplica(1).register(router)
+        router.replica_failed(0, generation=0)
+        router.pump()
+        assert router._links[1].chunks == {survivor.chunks[0].seqs[0]: 3}
+        survivor.answer_all()
+        assert router._links[1].chunks == {}
         assert all(f.done() for f in futures)
 
 

@@ -19,7 +19,7 @@ import pytest
 from repro.serve import BatchSettings, ServingEngine
 from repro.serve.server import ServingServer
 
-from .conftest import KEY
+from .conftest import KEY, NUM_CLASSES
 
 
 @pytest.fixture()
@@ -263,6 +263,107 @@ class TestRequestTimeout:
         engine = ServingEngine(registry, BatchSettings(max_latency_ms=1.0))
         with pytest.raises(ValueError, match="request_timeout_s"):
             ServingServer(engine, port=0, request_timeout_s=0.0)
+
+
+class _CountingSocket:
+    """A connected socket that records the size of every write it makes."""
+
+    def __init__(self, sock, writes: list) -> None:
+        self._sock = sock
+        self._writes = writes
+
+    def send(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.send(data, *args)
+
+    def sendall(self, data, *args):
+        self._writes.append(len(data))
+        return self._sock.sendall(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _CountingServer(ServingServer):
+    """A server whose accepted connections count their socket writes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.writes: list = []
+        self.accepted = 0
+        super().__init__(*args, **kwargs)
+
+    def get_request(self):
+        sock, address = super().get_request()
+        self.accepted += 1
+        return _CountingSocket(sock, self.writes), address
+
+
+class _ScriptedFleet:
+    """A fleet-shaped backend whose ``predict`` outcome the client picks:
+    ``shed`` is refused by admission control, ``stall`` times out, and
+    anything else gets zero logits."""
+
+    def __init__(self, registry) -> None:
+        from repro.telemetry import MetricsRegistry
+
+        self.registry = registry
+        self.metrics = MetricsRegistry()
+        self.metrics.counter("fleet_requests_total", help="Requests").inc()
+
+    def healthy_replicas(self) -> int:
+        return 1
+
+    def predict(self, key, inputs, timeout=None, client=None, priority=0):
+        from repro.serve import ShedError
+
+        if client == "shed":
+            raise ShedError("queue-full", 0.5)
+        if client == "stall":
+            raise TimeoutError
+        return np.zeros((len(inputs), NUM_CLASSES), dtype=np.float32)
+
+
+class TestOneWriteResponses:
+    def test_every_response_is_one_socket_write(self, registry, inputs):
+        # Headers and body in separate writes let Nagle's algorithm hold the
+        # body back until the client's delayed ACK on a keep-alive
+        # connection; every status, route and content type must go out in
+        # exactly one write.
+        from http.client import HTTPConnection
+
+        server = _CountingServer(_ScriptedFleet(registry), port=0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        sample = inputs[:2].tolist()
+        exchanges = [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/metrics", None, 200),
+            ("POST", "/predict", {"model": KEY.id, "inputs": sample}, 200),
+            ("POST", "/predict", {"inputs": sample}, 400),
+            ("POST", "/predict", {"model": KEY.id, "inputs": sample,
+                                  "client": "shed"}, 429),
+            ("POST", "/predict", {"model": KEY.id, "inputs": sample,
+                                  "client": "stall"}, 503),
+            ("POST", "/predict", {"model": KEY.id, "inputs": sample}, 200),
+        ]
+        conn = HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            for method, path, payload, status in exchanges:
+                before = len(server.writes)
+                body = None if payload is None else json.dumps(payload).encode()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == status, (path, response.status)
+                assert len(server.writes) - before == 1, (path, status, server.writes[before:])
+            assert server.accepted == 1  # all on one keep-alive connection
+        finally:
+            conn.close()
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
 
 
 class TestShutdown:

@@ -167,6 +167,17 @@ class TestMain:
         assert main(["study", "--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
 
+    def test_study_unknown_technique_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "study.jsonl"
+        code = main(["study", "--techniques", "distillation",
+                     "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown technique(s) ['distillation']" in err
+        assert "knowledge_distillation" in err  # the registry names are listed
+        assert "Traceback" not in err
+        assert not path.exists()  # rejected before anything is written
+
     def test_study_refuses_existing_checkpoint_without_resume(self, tmp_path, capsys):
         path = tmp_path / "study.jsonl"
         path.write_text('{"kind": "header"}\n')
