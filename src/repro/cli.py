@@ -74,8 +74,10 @@ from .experiments.hardware_study import (
     render_hardware_table,
 )
 from .experiments.config import ExperimentConfig, resolve_scale
+from .data import dataset_names
 from .faults import FaultType
 from .mitigation import technique_names, validate_techniques
+from .models import model_names
 from .nn.allreduce import set_ddp
 from .nn.functional import KERNEL_MODES, set_kernel_mode
 from .nn.serialization import StateFileError
@@ -518,14 +520,36 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> int:
-    """The fault-tolerant ``study`` subcommand (checkpoint/resume/retries)."""
+def _unknown_study_names(args: argparse.Namespace) -> str | None:
+    """The error for the first study axis naming something unregistered, if any.
+
+    Checked before planning or writing a checkpoint, so a typo exits 2 with
+    the registry's names instead of failing every cell of the sweep.
+    """
     if args.techniques:
         try:
             validate_techniques(args.techniques)
         except KeyError as exc:
-            logger.error("error: %s", exc.args[0])
-            return 2
+            return exc.args[0]
+    models = model_names(include_extensions=True)
+    datasets = dataset_names()
+    faults = [f.value for f in FaultType]
+    for axis, unknown, choices in (
+        ("model", [m for m in args.models if m.lower() not in models], models),
+        ("dataset", [d for d in args.datasets if d not in datasets], datasets),
+        ("fault", [f for f in args.faults if f not in faults], faults),
+    ):
+        if unknown:
+            return f"unknown {axis}(s) {unknown}; choices: {choices}"
+    return None
+
+
+def _run_study_command(runner: ExperimentRunner, args: argparse.Namespace) -> int:
+    """The fault-tolerant ``study`` subcommand (checkpoint/resume/retries)."""
+    unknown = _unknown_study_names(args)
+    if unknown is not None:
+        logger.error("error: %s", unknown)
+        return 2
     if args.kernels is not None:
         set_kernel_mode(args.kernels)
         logger.info("[kernels=%s]", args.kernels)

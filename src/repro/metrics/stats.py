@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "MeanWithCI",
@@ -63,6 +62,10 @@ def mean_confidence_interval(
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     if sem == 0.0:
         return MeanWithCI(mean, 0.0, confidence, int(arr.size))
+    # Imported here, not at module load: scipy.stats is most of the cost of
+    # importing repro, and single-repeat runs never reach this line.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
     return MeanWithCI(mean, t_crit * sem, confidence, int(arr.size))
 
@@ -75,6 +78,8 @@ def welch_ttest(
     b = np.asarray(list(b), dtype=np.float64)
     if a.size < 2 or b.size < 2:
         raise ValueError("Welch's t-test needs at least two observations per sample")
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.ttest_ind(a, b, equal_var=False)
     return float(result.statistic), float(result.pvalue)
 

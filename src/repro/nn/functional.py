@@ -12,8 +12,9 @@ The hot-path kernels come in three selectable implementations (see
 
 ``fast`` (default)
     Vectorised patch extraction via ``numpy.lib.stride_tricks.sliding_window_view``,
-    the fused :func:`softmax_cross_entropy` tape node, and scratch-buffer reuse
-    through :mod:`repro.nn.workspace`.
+    batch-innermost patch kernels on small feature maps (see
+    :data:`_SMALL_MAP`), the fused :func:`softmax_cross_entropy` tape node, and
+    scratch-buffer reuse through :mod:`repro.nn.workspace`.
 ``reference``
     The loop-based patch extraction and the composed (unfused) loss, with no
     buffer reuse.  ``reference`` and ``fast`` share every GEMM shape and every
@@ -42,6 +43,7 @@ where most of the measured speedup comes from.  The seed layout survives as
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 
@@ -353,6 +355,73 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 # ----------------------------------------------------------------------
 # Patch extraction (im2col / col2im)
 # ----------------------------------------------------------------------
+#: Input maps of at most this many pixels (``H*W``) take the batch-innermost
+#: patch kernels in ``fast``/``compiled`` mode: :func:`im2col` gathers through
+#: a flat per-sample index and :func:`col2im` accumulates with the ``N*C``
+#: axis innermost.  The offset loops they replace run ``N*C*OH`` strided
+#: copies or adds of only ``OW`` elements each, so on small maps numpy's
+#: per-row overhead, not memory traffic, sets the time.  Measured speedups
+#: over the offset loops (2 vCPU, OpenBLAS on 1 thread, batch 32, 3x3 pad 1,
+#: best of 7, two runs):
+#:
+#: ========  ==========  ==========  ==========  ===========  ============
+#: map       2x2, 32 ch  4x4, 16 ch  8x8, 8 ch   8x8, 64 ch   16x16, 4 ch
+#: ========  ==========  ==========  ==========  ===========  ============
+#: col2im    4.9-5.4x    3.6-3.7x    1.1-1.2x    1.3-1.5x     0.68-0.85x
+#: im2col    2.9-3.0x    1.6-2.0x    0.84-1.6x   0.79-1.2x    0.64-0.67x
+#: ========  ==========  ==========  ==========  ===========  ============
+#:
+#: and for 2x2 stride-2 pooling windows 1.7-2.4x on 8x8 maps and 0.74-1.1x
+#: on 16x16 ones.  Both kernels win up to 8x8 maps (where a conv's backward
+#: fold gains more than its forward gather can lose) and lose from 16x16,
+#: so one threshold between the two serves both.
+_SMALL_MAP = 64
+
+
+def _small_map(h: int, w: int) -> bool:
+    """Whether an ``h`` x ``w`` map takes the batch-innermost patch kernels."""
+    return _KERNEL_MODE in _FAST_LIKE and h * w <= _SMALL_MAP
+
+
+@functools.lru_cache(maxsize=128)
+def _gather_index(
+    c: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int, padding: int
+) -> np.ndarray:
+    """Flat offsets of a sample's ``(C, KH, KW, OH, OW)`` patch elements.
+
+    Offsets index one padded sample ``(C, H + 2p, W + 2p)`` flattened, so the
+    index depends on the per-sample geometry only: a server that sees many
+    batch sizes shares one entry per layer.  Read-only, since every caller
+    (eager and armed replay alike) shares it.
+    """
+    padded_h, padded_w = h + 2 * padding, w + 2 * padding
+    out_h = conv_output_size(h, kernel_h, stride, padding)
+    out_w = conv_output_size(w, kernel_w, stride, padding)
+    index = (
+        np.arange(c, dtype=np.intp).reshape(c, 1, 1, 1, 1) * (padded_h * padded_w)
+        + np.arange(kernel_h, dtype=np.intp).reshape(1, kernel_h, 1, 1, 1) * padded_w
+        + np.arange(kernel_w, dtype=np.intp).reshape(1, 1, kernel_w, 1, 1)
+        + np.arange(out_h, dtype=np.intp).reshape(1, 1, 1, out_h, 1) * (stride * padded_w)
+        + np.arange(out_w, dtype=np.intp).reshape(1, 1, 1, 1, out_w) * stride
+    ).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _scratch(ctx: OpCtx | None, workspace: Workspace | None, key: str, shape, dtype) -> np.ndarray:
+    """An uninitialised kernel buffer: pooled, armed (persistent) or fresh.
+
+    Eager fast-mode kernels draw from the ``workspace`` arena (the caller
+    releases the buffer); armed replay has no workspace and reuses the ctx's
+    persistent ``key`` buffer; otherwise the buffer is a fresh allocation.
+    """
+    if workspace is not None:
+        return workspace.acquire(shape, dtype)
+    if ctx is not None:
+        return ctx.buffer(key, shape, dtype)
+    return np.empty(shape, dtype)
+
+
 def im2col(
     images: np.ndarray,
     kernel_h: int,
@@ -364,10 +433,12 @@ def im2col(
 ) -> np.ndarray:
     """Unfold NCHW image patches into matrices of shape ``(N, C*KH*KW, OH*OW)``.
 
-    In ``fast`` mode stride-1 gathers are a single strided-view transpose copy
-    via ``sliding_window_view``; strided gathers and the other modes use a
-    per-kernel-offset copy loop that writes the same elements.  All paths
-    perform pure copies, so their outputs are bitwise-identical.
+    In ``fast`` mode small maps (see :data:`_SMALL_MAP`) are one ``np.take``
+    through a cached per-sample index, larger stride-1 gathers are a single
+    strided-view transpose copy via ``sliding_window_view``, and larger
+    strided gathers and the other modes use a per-kernel-offset copy loop
+    that writes the same elements.  All paths perform pure copies, so their
+    outputs are bitwise-identical.
 
     ``out``, when given, must be a ``(N, C*KH*KW, OH*OW)`` C-contiguous buffer
     of the image dtype (e.g. from the :mod:`repro.nn.workspace` arena); it is
@@ -389,6 +460,12 @@ def im2col(
 
     if out is None:
         out = np.empty((n, c * kernel_h * kernel_w, out_h * out_w), dtype=images.dtype)
+    if _small_map(h, w):
+        # mode="clip" lets take write straight into ``out`` (the default
+        # "raise" stages the result in a temporary); every offset is in range.
+        index = _gather_index(c, h, w, kernel_h, kernel_w, stride, padding)
+        np.take(images.reshape(n, -1), index, axis=1, out=out.reshape(n, -1), mode="clip")
+        return out
     cols = out.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
     if _KERNEL_MODE in _FAST_LIKE and stride == 1:
         # The six-axis window-view copy wins for dense (stride-1) convolution
@@ -415,43 +492,55 @@ def col2im(
     stride: int,
     padding: int,
     workspace: Workspace | None = None,
-    padded_out: np.ndarray | None = None,
+    ctx: OpCtx | None = None,
 ) -> np.ndarray:
     """Fold ``(N, C*KH*KW, OH*OW)`` patch matrices back to NCHW, accumulating overlaps.
 
     This is the adjoint of :func:`im2col` and therefore exactly the gradient
-    routing a convolution backward pass needs.  The scatter-accumulate stays a
-    per-kernel-offset loop in every mode: each iteration is a fully vectorised
-    strided add over ``(N, C, OH, OW)``, and the windowed alternative measures
-    ~4× slower on disjoint (pooling) windows because of its extra indexing.
+    routing a convolution backward pass needs.  The scatter-accumulate is a
+    per-kernel-offset loop of strided adds from a ``(KH, KW, OH, OW, N*C)``
+    view of the columns into an ``(H + 2p, W + 2p, N*C)`` view of a zeroed
+    accumulator, each element receiving ``0 + c[0, 0] + c[0, 1] + ...`` in
+    ``(ky, kx)`` order.  numpy runs each add in the accumulator's memory
+    order: NCHW in general (the ``OW`` axis innermost), batch-innermost on
+    small maps in ``fast`` mode (see :data:`_SMALL_MAP`), whose interior is
+    then copied out to NCHW.  The adds are the same either way, so both give
+    the same bits, ``-0.0`` and infinities included.  (Where two NaNs of
+    different sign or payload meet in one sum, which survives depends on
+    numpy's inner loop, as it already did on the map width.)
 
-    When ``workspace`` is given, the padded accumulator is drawn from it; the
-    caller owns releasing the returned array's base buffer after consuming the
-    values.  ``padded_out``, when given, is a persistent accumulator (compiled
-    replay arms one per site) that is zero-filled in place instead — same
-    values, no allocation.
+    When ``workspace`` is given, the accumulator (and the NCHW copy) are
+    drawn from it; the caller owns releasing the returned array's buffer
+    (:func:`_release_folded`) after consuming the values.  An armed ``ctx``
+    (compiled replay) supplies persistent buffers instead, zero-filled in
+    place — same values, no allocation.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    cols6 = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
-
-    padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
-    if padded_out is not None:
-        padded = padded_out
-        padded.fill(0)
-    elif workspace is not None:
-        padded = workspace.acquire_zeros(padded_shape, cols.dtype)
+    padded_h, padded_w = h + 2 * padding, w + 2 * padding
+    src = cols.reshape(n * c, kernel_h, kernel_w, out_h, out_w).transpose(1, 2, 3, 4, 0)
+    small = _small_map(h, w)
+    if small:
+        padded = _scratch(ctx, workspace, "fold", (padded_h, padded_w, n * c), cols.dtype)
+        acc = padded
     else:
-        padded = np.zeros(padded_shape, dtype=cols.dtype)
+        padded = _scratch(ctx, workspace, "fold", (n * c, padded_h, padded_w), cols.dtype)
+        acc = padded.transpose(1, 2, 0)
+    padded.fill(0)
     for ky in range(kernel_h):
         y_max = ky + stride * out_h
         for kx in range(kernel_w):
             x_max = kx + stride * out_w
-            padded[:, :, ky:y_max:stride, kx:x_max:stride] += cols6[:, :, ky, kx, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            acc[ky:y_max:stride, kx:x_max:stride] += src[ky, kx]
+    interior = acc[padding : padding + h, padding : padding + w].transpose(2, 0, 1)
+    if not small:
+        return interior.reshape(input_shape)  # a view of the pooled buffer
+    folded = _scratch(ctx, workspace, "folded", input_shape, cols.dtype)
+    folded.reshape(interior.shape)[...] = interior
+    if workspace is not None:
+        workspace.release(padded)
+    return folded
 
 
 def im2col_reference(
@@ -509,8 +598,8 @@ def col2im_reference(
 def _release_folded(workspace: Workspace | None, folded: np.ndarray) -> None:
     """Return a col2im result's backing buffer to the workspace.
 
-    ``col2im`` returns the unpadded interior view when padding > 0; the pooled
-    buffer is then its base.
+    ``col2im`` returns a pooled buffer or a view of one (the pooled buffer is
+    then its base).
     """
     if workspace is not None:
         workspace.release(folded if folded.base is None else folded.base)
@@ -537,23 +626,17 @@ def _armed_im2col(
 ) -> np.ndarray:
     """:func:`im2col` into an armed cols buffer, with plan-cached strided views.
 
-    For the stride-1 fast path the sliding-window source view and the target
-    six-axis view are pure functions of the (persistent) pad buffer and cols
-    buffer, so they are built once and cached on the ctx; steady-state steps
-    run exactly two copies — pad interior and window gather — the identical
-    element movement :func:`im2col` performs, minus its per-call view setup.
+    For the stride-1 window-view path the sliding-window source view and the
+    target six-axis view are pure functions of the (persistent) pad buffer
+    and cols buffer, so they are built once and cached on the ctx;
+    steady-state steps run exactly two copies — pad interior and window
+    gather — the identical element movement :func:`im2col` performs, minus
+    its per-call view setup.  Small maps gather through the shared
+    per-geometry index instead, which allocates nothing either.
     """
-    if stride != 1:
-        return im2col(
-            x,
-            kh,
-            kw,
-            stride,
-            padding,
-            out=cols,
-            padded_out=_ctx_pad_zeros(ctx, "pad", x.shape, padding, x.dtype),
-        )
     pad = _ctx_pad_zeros(ctx, "pad", x.shape, padding, x.dtype)
+    if stride != 1 or _small_map(x.shape[2], x.shape[3]):
+        return im2col(x, kh, kw, stride, padding, out=cols, padded_out=pad)
     if pad is not None:
         pad[:, :, padding:-padding, padding:-padding] = x
         src = pad
@@ -664,22 +747,9 @@ def _conv2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
             grad_w = gw3.sum(axis=0, out=ctx.buffer("gw", (c_out, ckk), grad.dtype))
         acc(1, grad_w.reshape(w_shape))
     if needs[0]:
-        if ctx.bufs is not None:
-            gcols = ctx.buffer("gcols", (n, ckk, ohw), grad.dtype)
-        elif ws is not None:
-            gcols = ws.acquire((n, ckk, ohw), grad.dtype)
-        else:
-            gcols = np.empty((n, ckk, ohw), dtype=grad.dtype)
+        gcols = _scratch(ctx, ws, "gcols", (n, ckk, ohw), grad.dtype)
         np.matmul(flat_weight.T, grad3, out=gcols)  # (N, C*KH*KW, OH*OW)
-        fold = None
-        if ctx.bufs is not None:
-            nx, cx, hx, wx = x_shape
-            fold = ctx.buffer(
-                "fold", (nx, cx, hx + 2 * padding, wx + 2 * padding), grad.dtype
-            )
-        grad_img = col2im(
-            gcols, x_shape, kh, kw, stride, padding, workspace=ws, padded_out=fold
-        )
+        grad_img = col2im(gcols, x_shape, kh, kw, stride, padding, workspace=ws, ctx=ctx)
         acc(0, grad_img)
         if ws is not None:
             ws.release(gcols)
@@ -764,22 +834,9 @@ def _depthwise_vjp(ctx: OpCtx, grad, needs, acc) -> None:
         grad_w = np.einsum("ncp,nckp->ck", grad3, cols4)
         acc(1, grad_w.reshape(w_shape))
     if needs[0]:
-        if ctx.bufs is not None:
-            gcols = ctx.buffer("gcols", (n, c * kk, ohw), grad.dtype)
-        elif ws is not None:
-            gcols = ws.acquire((n, c * kk, ohw), grad.dtype)
-        else:
-            gcols = np.empty((n, c * kk, ohw), dtype=grad.dtype)
+        gcols = _scratch(ctx, ws, "gcols", (n, c * kk, ohw), grad.dtype)
         np.einsum("ncp,ck->nckp", grad3, flat_weight, out=gcols.reshape(n, c, kk, ohw))
-        fold = None
-        if ctx.bufs is not None:
-            nx, cx, hx, wx = x_shape
-            fold = ctx.buffer(
-                "fold", (nx, cx, hx + 2 * padding, wx + 2 * padding), grad.dtype
-            )
-        grad_img = col2im(
-            gcols, x_shape, kh, kw, stride, padding, workspace=ws, padded_out=fold
-        )
+        grad_img = col2im(gcols, x_shape, kh, kw, stride, padding, workspace=ws, ctx=ctx)
         acc(0, grad_img)
         if ws is not None:
             ws.release(gcols)
@@ -876,22 +933,17 @@ def _max_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
             grad_img = ctx.buffer("grad_img", (n, c, h * w), x_dtype)
             grad_img.fill(0)
         np.put_along_axis(grad_img, flat, grad3, axis=2)
+        # The column route computes 0 + g; adding zero here gives a -0.0
+        # gradient the same +0.0 sign (every other value is unchanged).
+        grad_img += 0.0
         acc(0, grad_img.reshape(n, c, h, w))
         return
-    if ctx.bufs is not None:
-        gcols = ctx.buffer("gcols", (n, c * kk, ohw), x_dtype)
-        gcols.fill(0)
-        fold = ctx.buffer("fold", (n, c, h, w), x_dtype)
-    elif ws is not None:
-        gcols = ws.acquire_zeros((n, c * kk, ohw), x_dtype)
-        fold = None
-    else:
-        gcols = np.zeros((n, c * kk, ohw), dtype=x_dtype)
-        fold = None
+    gcols = _scratch(ctx, ws, "gcols", (n, c * kk, ohw), x_dtype)
+    gcols.fill(0)
     np.put_along_axis(
         gcols.reshape(n, c, kk, ohw), argmax[:, :, None, :], grad3[:, :, None, :], axis=2
     )
-    grad_img = col2im(gcols, x_shape, kernel, kernel, stride, 0, workspace=ws, padded_out=fold)
+    grad_img = col2im(gcols, x_shape, kernel, kernel, stride, 0, workspace=ws, ctx=ctx)
     acc(0, grad_img)
     if ws is not None:
         ws.release(gcols)
@@ -961,6 +1013,9 @@ def _avg_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
                 kk,
                 out=ctx.buffer("spread", (n, c, out_h, out_w), grad.dtype),
             )
+        # The column route computes 0 + g; adding zero gives a -0.0 gradient
+        # the same +0.0 sign (every other value is unchanged).
+        spread += 0.0
         if ctx.bufs is None:
             grad_img = np.zeros((n, c, h, w), dtype=x_dtype)
         else:
@@ -973,17 +1028,9 @@ def _avg_pool2d_vjp(ctx: OpCtx, grad, needs, acc) -> None:
                 ] = spread
         acc(0, grad_img)
         return
-    if ctx.bufs is not None:
-        gcols = ctx.buffer("gcols", (n, c * kk, ohw), x_dtype)
-        fold = ctx.buffer("fold", (n, c, h, w), x_dtype)
-    elif ws is not None:
-        gcols = ws.acquire((n, c * kk, ohw), x_dtype)
-        fold = None
-    else:
-        gcols = np.empty((n, c * kk, ohw), dtype=x_dtype)
-        fold = None
+    gcols = _scratch(ctx, ws, "gcols", (n, c * kk, ohw), x_dtype)
     np.divide(grad3[:, :, None, :], kk, out=gcols.reshape(n, c, kk, ohw))
-    grad_img = col2im(gcols, x_shape, kernel, kernel, stride, 0, workspace=ws, padded_out=fold)
+    grad_img = col2im(gcols, x_shape, kernel, kernel, stride, 0, workspace=ws, ctx=ctx)
     acc(0, grad_img)
     if ws is not None:
         ws.release(gcols)

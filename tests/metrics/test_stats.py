@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,3 +119,23 @@ class TestSummarize:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize([])
+
+
+def test_scipy_stats_is_imported_lazily():
+    # scipy.stats dominates the cost of importing repro; a study or serve
+    # process that never computes a multi-repeat CI or a t-test skips it.
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        "import sys\n"
+        "import repro, repro.experiments.executors, repro.serve.server\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.strip()
+    assert output == "[]"
+    # ...and the statistics still work once asked for.
+    assert mean_confidence_interval([1.0, 2.0, 3.0]).half_width > 0.0
+    assert 0.0 < welch_ttest([1.0, 2.0, 3.0], [2.0, 3.0, 5.0])[1] < 1.0

@@ -11,15 +11,21 @@ float tolerance.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.nn import Tensor, kernel_mode, set_kernel_mode, use_kernel_mode
 from repro.nn.functional import (
     avg_pool2d,
+    _armed_im2col,
+    _gather_index,
+    _release_folded,
     col2im,
     col2im_reference,
     conv2d,
+    conv_output_size,
     depthwise_conv2d,
     im2col,
     im2col_reference,
@@ -27,6 +33,8 @@ from repro.nn.functional import (
     max_pool2d,
     softmax_cross_entropy,
 )
+from repro.nn.ops import OP_REGISTRY, OpCtx
+from repro.nn.workspace import Workspace
 
 # (input shape, kernel kwargs) grids deliberately include stride 2, padding,
 # non-square kernels, non-square images, and batch size 1.
@@ -45,13 +53,14 @@ POOL_CASES = [
 ]
 
 
-def _run(mode, op, arrays, **kwargs):
-    with use_kernel_mode(mode):
+def _run(mode, op, arrays, grad=None, **kwargs):
+    """Forward and backward (seeded with ``grad``, default ones) under ``mode``."""
+    with use_kernel_mode(mode), np.errstate(invalid="ignore", over="ignore"):
         tensors = [
             Tensor(a.copy(), requires_grad=True) if a is not None else None for a in arrays
         ]
         out = op(*tensors, **kwargs)
-        out.backward(np.ones_like(out.data))
+        out.backward(np.ones_like(out.data) if grad is None else grad)
         return out.data, [t.grad for t in tensors if t is not None]
 
 
@@ -296,3 +305,260 @@ class TestModelLevelEquivalence:
         assert loss_fast == loss_ref
         for p_fast, p_ref in zip(params_fast, params_ref):
             assert np.array_equal(p_fast, p_ref)
+
+
+# ----------------------------------------------------------------------
+# Small feature maps: batch-innermost col2im and gathered im2col
+# ----------------------------------------------------------------------
+#: Maps on both sides of the small-map threshold (``H*W <= 64``), odd and
+#: non-square ones included; every kernel size, stride and padding below
+#: whose output is non-empty is checked on each.
+SMALL_MAPS = [(1, 1), (2, 2), (4, 4), (3, 5), (7, 7), (8, 8), (9, 9)]
+PATCH_KERNELS = [1, 2, 3]
+
+
+def _patch_geometries(h, w, k):
+    """``(stride, padding, out_h, out_w)`` for every non-empty output."""
+    geometries = []
+    for stride in (1, 2):
+        for padding in (0, 1, 2):
+            oh = conv_output_size(h, k, stride, padding)
+            ow = conv_output_size(w, k, stride, padding)
+            if oh >= 1 and ow >= 1:
+                geometries.append((stride, padding, oh, ow))
+    return geometries
+
+
+def _special(shape, seed):
+    """Normal floats with NaN (one with a payload), +-inf and -0.0 mixed in."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape).astype(np.float32)
+    flat = a.reshape(-1)
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, -0.0, np.uint32(0x7FC00123).view(np.float32)], np.float32
+    )
+    picks = rng.choice(flat.size, size=max(1, flat.size // 6), replace=False)
+    flat[picks] = specials[rng.integers(0, specials.size, picks.size)]
+    return a
+
+
+def _bits(a):
+    """The float32 bit patterns of ``a``, every NaN mapped to one pattern.
+
+    Where two NaNs of different sign or payload meet in one add, IEEE 754
+    leaves open which survives, and numpy's SIMD body and scalar tail pick
+    differently: the old offset loop's own result already depended on the
+    map width there.  All other bits (-0.0 and infinities included) and the
+    NaN positions must match exactly.
+    """
+    bits = np.ascontiguousarray(a, dtype=np.float32).view(np.uint32).copy()
+    bits[np.isnan(a)] = 0x7FC00000
+    return bits
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(_bits(a), _bits(b))
+
+
+def _flat_cols(cols, n, oh, ow):
+    """``(N, C*KH*KW, OH*OW)`` columns in the seed's ``(N*OH*OW, C*KH*KW)`` layout."""
+    return np.ascontiguousarray(cols.transpose(0, 2, 1).reshape(n * oh * ow, -1))
+
+
+class TestSmallMapPatchKernels:
+    @pytest.mark.parametrize("k", PATCH_KERNELS)
+    @pytest.mark.parametrize("hw", SMALL_MAPS)
+    def test_im2col_bitwise_matches_reference(self, hw, k):
+        h, w = hw
+        x = _special((3, 4, h, w), seed=h * 10 + w)
+        for stride, padding, oh, ow in _patch_geometries(h, w, k):
+            with use_kernel_mode("fast"):
+                fast = im2col(x, k, k, stride, padding)
+            with use_kernel_mode("reference"):
+                loop = im2col(x, k, k, stride, padding)
+            _assert_bitwise(fast, loop)
+            _assert_bitwise(_flat_cols(fast, 3, oh, ow), im2col_reference(x, k, k, stride, padding))
+
+    @pytest.mark.parametrize("k", PATCH_KERNELS)
+    @pytest.mark.parametrize("hw", SMALL_MAPS)
+    def test_col2im_bitwise_matches_reference(self, hw, k):
+        h, w = hw
+        shape = (3, 4, h, w)
+        for stride, padding, oh, ow in _patch_geometries(h, w, k):
+            cols = _special((3, 4 * k * k, oh * ow), seed=h * 100 + w * 10 + stride + padding)
+            flat = _flat_cols(cols, 3, oh, ow)
+            with np.errstate(invalid="ignore"):
+                oracle = col2im_reference(flat, shape, k, k, stride, padding)
+                with use_kernel_mode("reference"):
+                    loop = col2im(cols, shape, k, k, stride, padding)
+                with use_kernel_mode("fast"):
+                    fast = col2im(cols, shape, k, k, stride, padding)
+                    pooled = col2im(cols, shape, k, k, stride, padding, workspace=Workspace())
+            _assert_bitwise(loop, oracle)
+            _assert_bitwise(fast, oracle)
+            _assert_bitwise(pooled, oracle)
+
+    @pytest.mark.parametrize("hw", [(2, 2), (4, 4), (8, 8), (16, 16)])
+    def test_col2im_workspace_accounting_is_exact(self, hw):
+        # Everything col2im draws from the arena comes back exactly once, and
+        # nothing it did not draw (a view, a foreign array) is pooled.
+        h, w = hw
+        ws = Workspace()
+        cols = np.random.default_rng(0).normal(size=(2, 3 * 9, h * w)).astype(np.float32)
+        with use_kernel_mode("fast"):
+            for step in range(3):
+                folded = col2im(cols, (2, 3, h, w), 3, 3, 1, 1, workspace=ws)
+                _release_folded(ws, folded)
+                assert ws.misses == ws.num_free
+                assert ws.hits == step * ws.misses
+                assert ws.dropped == 0
+
+
+def _run_armed(op, arrays, grad, kwargs):
+    """Two armed (compiled-replay) steps of ``op`` on persistent buffers.
+
+    The first step runs on scaled inputs, so stale buffer contents from it
+    would show in the second step's values.
+    """
+    op = OP_REGISTRY[op.__name__]
+    ctx = OpCtx(persistent=True)
+    with use_kernel_mode("compiled"), np.errstate(invalid="ignore", over="ignore"):
+        for scale in (np.float32(3.0), np.float32(1.0)):
+            grads = [None] * len(arrays)
+
+            def acc(i, g):
+                grads[i] = g.copy()
+
+            out = op.apply(ctx, tuple(a * scale for a in arrays), kwargs).copy()
+            op.vjp(ctx, grad * scale, (True,) * len(arrays), acc)
+    return out, grads
+
+
+#: (op, input shape, other input shapes, kwargs) on small maps; each op's
+#: registry entry has its function's name.
+SMALL_MAP_OPS = [
+    (conv2d, (4, 6, 2, 2), [(5, 6, 3, 3), (5,)], dict(stride=1, padding=1)),
+    (conv2d, (4, 6, 4, 4), [(5, 6, 3, 3), (5,)], dict(stride=2, padding=2)),
+    (conv2d, (3, 2, 5, 3), [(4, 2, 2, 2), (4,)], dict(stride=1, padding=0)),
+    (conv2d, (2, 8, 1, 1), [(3, 8, 1, 1), (3,)], dict(stride=1, padding=0)),
+    (depthwise_conv2d, (4, 6, 4, 4), [(6, 1, 3, 3), (6,)], dict(stride=1, padding=1)),
+    (depthwise_conv2d, (2, 3, 7, 7), [(3, 1, 3, 3), (3,)], dict(stride=2, padding=1)),
+    (max_pool2d, (4, 6, 4, 4), [], dict(kernel=2, stride=2)),
+    (max_pool2d, (3, 4, 7, 7), [], dict(kernel=3, stride=2)),
+    (avg_pool2d, (4, 6, 8, 8), [], dict(kernel=2, stride=2)),
+    (avg_pool2d, (3, 4, 5, 5), [], dict(kernel=3, stride=1)),
+]
+
+
+class TestSmallMapOps:
+    @pytest.mark.parametrize("op,x_shape,extra,kwargs", SMALL_MAP_OPS)
+    def test_fast_reference_compiled_bitwise(self, op, x_shape, extra, kwargs):
+        arrays = [_special(x_shape, seed=1)] + [
+            np.random.default_rng(2 + i).normal(size=s).astype(np.float32)
+            for i, s in enumerate(extra)
+        ]
+        out_shape = _run("reference", op, arrays, **kwargs)[0].shape
+        grad = _special(out_shape, seed=3)
+        ref = _run("reference", op, arrays, grad, **kwargs)
+        for mode in ("fast", "compiled"):
+            got = _run(mode, op, arrays, grad, **kwargs)
+            _assert_bitwise(got[0], ref[0])
+            for g, g_ref in zip(got[1], ref[1]):
+                _assert_bitwise(g, g_ref)
+        armed = _run_armed(op, arrays, grad, kwargs)
+        _assert_bitwise(armed[0], ref[0])
+        for g, g_ref in zip(armed[1], ref[1]):
+            _assert_bitwise(g, g_ref)
+
+
+def _in_ctx(result, ctx):
+    """Whether ``result`` lives in one of the ctx's persistent arrays."""
+    return any(
+        isinstance(buf, np.ndarray) and np.shares_memory(result, buf) for buf in ctx.bufs.values()
+    )
+
+
+class TestArmedReplayAllocatesNothing:
+    """Steady-state armed replay draws every patch buffer from the ctx.
+
+    After the first (arming) step, a replayed step creates no new kernel
+    buffer: the ctx holds the same arrays, results land in them, the gather
+    index comes from the per-geometry cache without a miss, and the step
+    retains no memory (``tracemalloc`` sees numpy's data buffers).  numpy's
+    own ufunc iteration scratch, freed within each call, is not a kernel
+    buffer and is not counted.
+    """
+
+    @staticmethod
+    def _steady_state(ctx, step):
+        step()
+        step()
+        arrays = {key: id(buf) for key, buf in ctx.bufs.items()}
+        misses = _gather_index.cache_info().misses
+        tracemalloc.start()
+        try:
+            step()
+            before = tracemalloc.get_traced_memory()[0]
+            results = step()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert {key: id(buf) for key, buf in ctx.bufs.items()} == arrays
+        assert _gather_index.cache_info().misses == misses
+        assert retained < 1024, retained
+        return results
+
+    @pytest.mark.parametrize(
+        "x_shape,k,stride,padding",
+        [((32, 32, 2, 2), 3, 1, 1), ((32, 16, 4, 4), 3, 1, 1), ((32, 8, 8, 8), 2, 2, 0),
+         ((32, 4, 16, 16), 3, 1, 1)],
+    )
+    def test_patch_kernels(self, x_shape, k, stride, padding):
+        n, c, h, w = x_shape
+        oh, ow = conv_output_size(h, k, stride, padding), conv_output_size(w, k, stride, padding)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        gcols = rng.normal(size=(n, c * k * k, oh * ow)).astype(np.float32)
+        ctx = OpCtx(persistent=True)
+        cols = ctx.buffer("cols", gcols.shape, np.float32)
+
+        def step():
+            return (
+                _armed_im2col(ctx, x, k, k, stride, padding, cols),
+                col2im(gcols, x_shape, k, k, stride, padding, ctx=ctx),
+            )
+
+        with use_kernel_mode("compiled"):
+            unfolded, folded = self._steady_state(ctx, step)
+        assert unfolded is cols
+        assert _in_ctx(folded, ctx)
+
+    @pytest.mark.parametrize("x_shape", [(32, 16, 2, 2), (32, 8, 4, 4), (32, 2, 16, 16)])
+    def test_conv2d_step(self, x_shape):
+        op = OP_REGISTRY["conv2d"]
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=x_shape).astype(np.float32)
+        w = rng.normal(size=(4, x_shape[1], 3, 3)).astype(np.float32)
+        grad = rng.normal(size=(x_shape[0], 4, x_shape[2], x_shape[3])).astype(np.float32)
+        ctx = OpCtx(persistent=True)
+        grads = [None, None]
+
+        def step():
+            out = op.apply(ctx, (x, w), {"stride": 1, "padding": 1})
+            op.vjp(ctx, grad, (True, True), grads.__setitem__)
+            return out, grads[0]
+
+        with use_kernel_mode("compiled"):
+            out, grad_x = self._steady_state(ctx, step)
+        for result in (out, grad_x):
+            assert _in_ctx(result, ctx)
+
+    def test_gather_index_does_not_grow_with_batch_size(self):
+        x = np.zeros((40, 5, 3, 3), np.float32)
+        with use_kernel_mode("fast"):
+            im2col(x[:1], 3, 3, 1, 1)
+            size = _gather_index.cache_info().currsize
+            for n in range(2, 41):
+                im2col(x[:n], 3, 3, 1, 1)
+        assert _gather_index.cache_info().currsize == size

@@ -178,6 +178,27 @@ class TestMain:
         assert "Traceback" not in err
         assert not path.exists()  # rejected before anything is written
 
+    @pytest.mark.parametrize(
+        "flag,axis,choice",
+        [("--models", "model", "vgg11"), ("--datasets", "dataset", "gtsrb"),
+         ("--faults", "fault", "mislabelling")],
+    )
+    def test_study_unknown_axis_name_is_exit_2(self, tmp_path, capsys, flag, axis, choice):
+        path = tmp_path / "study.jsonl"
+        code = main(["study", flag, "nosuch", "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown {axis}(s) ['nosuch']" in err
+        assert choice in err  # the registry names are listed
+        assert "Traceback" not in err
+        assert not path.exists()  # rejected before anything is written
+
+    def test_study_model_names_are_case_insensitive(self):
+        from repro.cli import _unknown_study_names
+
+        args = build_parser().parse_args(["study", "--models", "ConvNet,VGG11"])
+        assert _unknown_study_names(args) is None
+
     def test_study_refuses_existing_checkpoint_without_resume(self, tmp_path, capsys):
         path = tmp_path / "study.jsonl"
         path.write_text('{"kind": "header"}\n')
